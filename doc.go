@@ -46,8 +46,8 @@
 //     /v1 (pinned byte-for-byte by golden wire tests); a singleflight
 //     model registry keyed (target, kind, input set) — a PUE-only query
 //     never trains a WER model, and errors are never cached (a failed
-//     fill clears and retries) — a workload profile cache, micro-batched
-//     PredictBatch dispatch, a /metrics exposition, and generation-aware
+//     fill clears and retries) — a workload profile cache, Predict called
+//     on the request goroutine, a /metrics exposition, and generation-aware
 //     hot reload: the dataset and all state derived from it swap
 //     atomically on /v1/reload, SIGHUP or a -reload-interval poll, with a
 //     persisted artifact fingerprint making unchanged reloads no-ops, and

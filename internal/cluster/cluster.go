@@ -18,8 +18,8 @@
 //
 //   - Consistent-hash model ownership. Every backend loads the same
 //     artifact, but models are trained lazily per (target, kind, input
-//     set), and each trained model plus its micro-batcher and profile
-//     cache occupies memory and warmup time. The router hashes that
+//     set), and each trained model plus its profile cache occupies
+//     memory and warmup time. The router hashes that
 //     triple — the same key the backend's model registry uses — onto a
 //     virtual-node ring, so each model's traffic concentrates on one
 //     owner: N backends hold ~1/N of the model set warm apiece instead of

@@ -178,8 +178,7 @@ func TestKNNPredictMatchesSortReference(t *testing.T) {
 }
 
 // BenchmarkKNNPredict measures the hot serving path: one Predict against a
-// production-sized training set. The .../sort variant is the old full-sort
-// implementation; the speedup is the win of O(n) k-selection.
+// production-sized training set.
 func BenchmarkKNNPredict(b *testing.B) {
 	X, y := knnFixture(8192, 32, 11)
 	reg, err := KNN{K: 5}.Train(X, y)
@@ -196,12 +195,6 @@ func BenchmarkKNNPredict(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			m.Predict(q)
-		}
-	})
-	b.Run("sort", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			knnPredictBySort(m, q)
 		}
 	})
 }

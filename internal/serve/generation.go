@@ -1,30 +1,28 @@
 package serve
 
 import (
-	"sync"
-	"sync/atomic"
+	"errors"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/workload"
 )
 
+// errClosed reports a request caught by server shutdown.
+var errClosed = errors.New("serve: server closed")
+
 // A generation is one immutable serving configuration: a dataset plus every
-// piece of state derived from it (trained models, workload profiles, the
-// micro-batchers hanging off the registry entries). The server holds the
-// current generation behind an atomic pointer; a hot reload builds a fresh
-// generation and swaps the pointer, so cross-dataset state can never leak —
-// a model trained on the old rows is unreachable the moment the new
-// generation is visible, and the sticky-error class of bugs (stale state
-// surviving a refresh) is structurally impossible.
+// piece of state derived from it (trained models, workload profiles). The
+// server holds the current generation behind an atomic pointer; a hot
+// reload builds a fresh generation and swaps the pointer, so cross-dataset
+// state can never leak — a model trained on the old rows is unreachable the
+// moment the new generation is visible, and the sticky-error class of bugs
+// (stale state surviving a refresh) is structurally impossible.
 //
-// Lifecycle: a generation is born with one "live" reference held by the
-// server. Every request acquires a reference for its full duration, so
-// in-flight queries finish on the generation they started with. Retiring
-// (after a swap) releases the live reference, waits for in-flight requests
-// to drain, and only then closes stop — which terminates the batcher
-// dispatchers. A request can therefore never observe its own generation's
-// batchers shutting down underneath it.
+// A request loads the pointer once and uses that generation for its full
+// duration, so in-flight queries finish on the generation they started
+// with. Once a generation is swapped out and the last request holding it
+// returns, the garbage collector frees it.
 type generation struct {
 	// id is the monotonically increasing generation number (1 at startup),
 	// surfaced in /healthz and /metrics.
@@ -49,18 +47,6 @@ type generation struct {
 	available        map[core.Target]bool
 	defaults         []core.Target
 	telemetryTargets []core.Target
-
-	// stop, once closed, terminates this generation's batcher dispatchers
-	// and fails fast any caller still blocked on them. It closes on server
-	// shutdown, or after a retired generation has drained.
-	stop     chan struct{}
-	stopOnce sync.Once
-
-	// refs counts the live reference (1, held until retire) plus every
-	// in-flight request. drained closes when refs first returns to zero,
-	// which can only happen after retire released the live reference.
-	refs    atomic.Int64
-	drained chan struct{}
 }
 
 // newGeneration derives a generation from a dataset. The profiling size and
@@ -85,8 +71,6 @@ func (s *Server) newGeneration(id int64, ds *core.Dataset) *generation {
 		seed:     seed,
 		registry: newModelRegistry(),
 		profiles: newProfileCache(),
-		stop:     make(chan struct{}),
-		drained:  make(chan struct{}),
 	}
 	g.available = make(map[core.Target]bool, len(core.Targets()))
 	for _, d := range core.Descriptors() {
@@ -100,68 +84,16 @@ func (s *Server) newGeneration(id int64, ds *core.Dataset) *generation {
 			g.defaults = append(g.defaults, d.Name)
 		}
 	}
-	g.refs.Store(1) // the live reference, released by retire
 	return g
 }
 
-// acquire pins the current generation for one request. Every successful
-// acquire must be paired with a release. The loop re-reads the pointer on
-// the (rare) race where the loaded generation fully drained between the
-// load and the reference grab; it terminates because the pointer is always
-// swapped to the successor before the live reference is released.
+// acquire returns the current generation for one request, failing fast
+// once the server is closed.
 func (s *Server) acquire() (*generation, error) {
 	if err := s.closedErr(); err != nil {
 		return nil, err
 	}
-	for {
-		g := s.gen.Load()
-		if g.tryRef() {
-			return g, nil
-		}
-	}
-}
-
-// tryRef grabs a reference unless the generation has fully drained. It
-// must CAS rather than blindly increment: a plain Add(1) on a drained
-// generation would transiently resurrect refs to 1, let a concurrent
-// tryRef observe a live-looking count and hand out a generation whose
-// batchers are already stopped — and the back-out decrement would cross
-// zero a second time, double-closing drained.
-func (g *generation) tryRef() bool {
-	for {
-		n := g.refs.Load()
-		if n == 0 {
-			return false // fully drained: refs never leaves zero again
-		}
-		if g.refs.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
-}
-
-// release drops one reference. The reference that returns the count to
-// zero — necessarily after retire dropped the live one, and unrepeatable
-// because tryRef refuses drained generations — signals drain.
-func (g *generation) release() {
-	if g.refs.Add(-1) == 0 {
-		close(g.drained)
-	}
-}
-
-// retire ends a generation that has been swapped out: it releases the live
-// reference, waits for every in-flight request to finish, then stops the
-// batchers. Blocked do() callers cannot be dropped: stop only closes once
-// no request references this generation.
-func (g *generation) retire() {
-	g.release()
-	<-g.drained
-	g.closeStop()
-}
-
-// closeStop terminates the generation's batchers. Idempotent: both server
-// shutdown and retirement converge here.
-func (g *generation) closeStop() {
-	g.stopOnce.Do(func() { close(g.stop) })
+	return s.gen.Load(), nil
 }
 
 // ReloadResult reports the outcome of one reload request.
@@ -174,18 +106,17 @@ type ReloadResult struct {
 	// Swapped is false when the artifact fingerprint matched the serving
 	// generation and nothing changed.
 	Swapped bool `json:"swapped"`
-	// ElapsedMS is the wall time of the reload, including artifact load,
-	// fingerprinting and (on a swap) the old generation's drain.
+	// ElapsedMS is the wall time of the reload: artifact load,
+	// fingerprinting and (on a swap) building the new generation.
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
 // Reload loads the artifact at path and, unless its fingerprint matches the
 // serving generation, swaps it in as a new generation: queries that arrive
 // after the swap see the new dataset with fresh (lazily trained) models,
-// queries already in flight finish on the generation they started with, and
-// the old generation's batchers are drained and stopped — no request is
-// dropped or blocked by a reload. Reloads are serialized; concurrent calls
-// queue.
+// queries already in flight finish on the generation they started with —
+// no request is dropped or blocked by a reload. Reloads are serialized;
+// concurrent calls queue.
 func (s *Server) Reload(path string) (*ReloadResult, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
@@ -216,12 +147,6 @@ func (s *Server) swapDataset(ds *core.Dataset, start time.Time) *ReloadResult {
 	g := s.newGeneration(cur.id+1, ds)
 	s.gen.Store(g)
 	s.metrics.generationID.Store(g.id)
-	cur.retire()
-	if s.closedErr() != nil {
-		// Close raced with the swap and may have stopped the predecessor
-		// instead; make sure the new current generation is stopped too.
-		g.closeStop()
-	}
 	s.metrics.reloads.inc()
 	s.metrics.reloadSeconds.observe(time.Since(start))
 	return &ReloadResult{

@@ -21,8 +21,8 @@ import (
 // buffered rows into a retrain. The pipeline's retrain callback lands in
 // retrainWith below: it rebuilds the dataset through the same trainer
 // seams the registry uses, persists the artifact atomically, and publishes
-// through the refcounted generation swap — in-flight queries finish on the
-// generation they started with, exactly as a /v1/reload.
+// through the generation swap — in-flight queries finish on the generation
+// they started with, exactly as a /v1/reload.
 
 // IngestRequestV2 is the POST /v2/ingest body.
 type IngestRequestV2 struct {
@@ -174,7 +174,6 @@ func (s *Server) retrainWith(rows []ingest.Row, reason string) (*core.TelemetryS
 		return nil, err
 	}
 	wer, pue, uer, err := s.convertRows(g, rows)
-	g.release()
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,6 @@ import (
 type counter struct{ v atomic.Int64 }
 
 func (c *counter) inc()         { c.v.Add(1) }
-func (c *counter) add(n int64)  { c.v.Add(n) }
 func (c *counter) value() int64 { return c.v.Load() }
 
 // latencyBuckets are the histogram upper bounds in seconds: a log scale
@@ -94,7 +93,7 @@ func (h *histogram) render(w io.Writer, name string) {
 
 // modelStat aggregates the serving traffic of one (target, kind, input
 // set) model: how many queries it answered (or failed), and the latency of
-// its micro-batched predict calls. Counters are server-lifetime — they
+// its predict calls. Counters are server-lifetime — they
 // survive generation swaps, so a hot reload never resets the fleet's view
 // of the service (the /v2/stats cross-check contract).
 type modelStat struct {
@@ -119,9 +118,6 @@ type metrics struct {
 	modelMisses     counter
 	trainFailures   counter // model fits that errored (entry cleared, not cached)
 
-	batches        counter // micro-batch flushes
-	batchedQueries counter // queries carried by those flushes
-
 	// generationID is the serving generation (a gauge, not a counter: it
 	// reports the current value, bumped on every swap).
 	generationID atomic.Int64
@@ -130,7 +126,7 @@ type metrics struct {
 	reloadErrors counter // reloads that failed before any swap
 
 	trainSeconds   *histogram // one observation per model fit
-	predictSeconds *histogram // one observation per /v1/predict request
+	predictSeconds *histogram // one observation per /v1 or /v2 predict request
 	profileSeconds *histogram // one observation per profile build
 	reloadSeconds  *histogram // one observation per swapping reload
 	retrainSeconds *histogram // one observation per ingest-driven retrain
@@ -199,7 +195,7 @@ func (m *metrics) countRequest(endpoint string, code int) {
 }
 
 // render writes the full exposition: request counts, cache accounting,
-// batching totals and the latency histograms.
+// per-model and reload counters, and the latency histograms.
 func (m *metrics) render(w io.Writer) {
 	m.mu.Lock()
 	keys := make([]requestKey, 0, len(m.requests))
@@ -226,8 +222,6 @@ func (m *metrics) render(w io.Writer) {
 	fmt.Fprintf(w, "dramserve_model_registry_hits_total %d\n", m.modelHits.value())
 	fmt.Fprintf(w, "dramserve_model_registry_misses_total %d\n", m.modelMisses.value())
 	fmt.Fprintf(w, "dramserve_model_train_failures_total %d\n", m.trainFailures.value())
-	fmt.Fprintf(w, "dramserve_predict_batches_total %d\n", m.batches.value())
-	fmt.Fprintf(w, "dramserve_predict_batched_queries_total %d\n", m.batchedQueries.value())
 	for _, k := range m.modelKeys() {
 		st := m.modelStatFor(k)
 		labels := fmt.Sprintf("{target=%q,kind=%q,set=\"%d\"}", k.target, k.kind, k.set)

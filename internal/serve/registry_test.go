@@ -210,3 +210,77 @@ func waitForMetric(t *testing.T, ts *httptest.Server, name string, want float64)
 	}
 	t.Fatalf("metric %s never reached %v", name, want)
 }
+
+// TestCloseReleasesFillWaiters pins shutdown against a held cold fill: a
+// request parked on another request's in-flight model fit must answer 503
+// as soon as the server closes, without waiting for the fit, and the held
+// fill must still complete cleanly once it returns.
+func TestCloseReleasesFillWaiters(t *testing.T) {
+	s := New(testDataset(t), Options{Quick: true, Seed: 3, Workers: 2})
+	t.Cleanup(func() { s.Close() })
+	entered := make(chan struct{})
+	gate := make(chan struct{})
+	realTrain := s.train
+	s.train = func(ds *core.Dataset, target core.Target, kind core.ModelKind, set core.InputSet, workers int) (core.Predictor, error) {
+		if target == core.TargetWER {
+			close(entered)
+			<-gate
+		}
+		return realTrain(ds, target, kind, set, workers)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	var openGate sync.Once
+	release := func() { openGate.Do(func() { close(gate) }) }
+	t.Cleanup(release) // runs before ts.Close, which waits for the filler
+
+	type result struct {
+		code int
+		err  error
+	}
+	send := func() <-chan result {
+		out := make(chan result, 1)
+		go func() {
+			resp, err := http.Post(ts.URL+"/v2/predict", "application/json",
+				strings.NewReader(`{"workload":"nw","trefp":1.173,"temp_c":60,"targets":["wer"]}`))
+			if err != nil {
+				out <- result{err: err}
+				return
+			}
+			defer resp.Body.Close()
+			_, err = io.ReadAll(resp.Body)
+			out <- result{resp.StatusCode, err}
+		}()
+		return out
+	}
+	filler := send()
+	<-entered
+	waiter := send()
+	waitForMetric(t, ts, "dramserve_model_registry_hits_total", 1)
+
+	s.Close()
+	select {
+	case r := <-waiter:
+		if r.err != nil {
+			t.Fatalf("waiter transport error: %v", r.err)
+		}
+		if r.code != http.StatusServiceUnavailable {
+			t.Fatalf("waiter after close = %d, want 503", r.code)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter still parked on the held fill after Close")
+	}
+
+	release()
+	select {
+	case r := <-filler:
+		if r.err != nil {
+			t.Fatalf("held fill's request transport error: %v", r.err)
+		}
+		if r.code != http.StatusOK && r.code != http.StatusServiceUnavailable {
+			t.Fatalf("held fill's request = %d, want 200 or 503", r.code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("held fill never returned")
+	}
+}

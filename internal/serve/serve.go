@@ -12,7 +12,7 @@
 //	GET  /v1/models    model kinds, input sets, targets, trained entries
 //	POST /v1/reload    swap in a refreshed dataset artifact in place
 //	GET  /healthz      liveness, dataset shape, serving generation
-//	GET  /metrics      request/cache/batch/reload counters and histograms
+//	GET  /metrics      request/cache/reload counters and histograms
 //
 // Both predict surfaces run the same resolve → model → predict path over
 // the unified core.Predictor API; /v1 is a thin adapter that always
@@ -25,8 +25,8 @@
 // uniform across every endpoint: wrong method is 405 with Allow set,
 // non-JSON POST content is 415.
 //
-// Three mechanisms keep the warm path far under the 300 ms budget while the
-// cold path stays correct under concurrency:
+// Two caches keep the warm path far under the 300 ms budget while the cold
+// path stays correct under concurrency:
 //
 //   - a model registry trains each (target, kind, input set) predictor
 //     once through the core.Train factory, singleflight-style: concurrent
@@ -34,21 +34,23 @@
 //     the entry clears so the next request retries instead of inheriting a
 //     transient error;
 //   - a profile cache keyed by (workload, size, seed) makes repeat queries
-//     skip the expensive profiling pass (same non-sticky error handling);
-//   - a micro-batcher per predictor coalesces in-flight queries into
-//     PredictBatch calls that fan out on the engine's bounded worker pool.
+//     skip the expensive profiling pass (same non-sticky error handling).
+//
+// A warm query then calls each target's core.Predictor.Predict directly on
+// the request goroutine.
 //
 // The paper's model is "retrained periodically" from fresh characterization
 // data, so the dataset and everything derived from it (registry, profile
-// cache, batchers) live in a generation behind an atomic pointer: Reload
+// cache) live in an immutable generation behind an atomic pointer: Reload
 // builds a new generation from a refreshed artifact and swaps it in while
 // in-flight queries finish on the generation they started with (see
 // generation.go). A content fingerprint persisted in the artifact makes
 // reloading an unchanged artifact a no-op.
 //
 // Shutdown is graceful: Close cancels the server's context (threaded into
-// every engine dispatch), wakes all batcher waiters, and makes new
-// requests fail fast before starting a cold profile build or model fit.
+// every engine dispatch), releases requests waiting on another request's
+// cold fill, and makes new requests fail fast before starting a cold
+// profile build or model fit.
 package serve
 
 import (
@@ -81,8 +83,8 @@ type Options struct {
 	Quick bool
 	// Seed keys the profiling passes.
 	Seed uint64
-	// Workers bounds the engine parallelism of training and batched
-	// prediction; 0 means GOMAXPROCS.
+	// Workers bounds the engine parallelism of training, ingest retrains
+	// and a batch body's profile resolution; 0 means GOMAXPROCS.
 	Workers int
 	// ArtifactPath, when set, is the dataset artifact backing the server;
 	// POST /v1/reload with an empty body (and cmd/dramserve's SIGHUP and
@@ -101,8 +103,8 @@ type Options struct {
 }
 
 // Server answers prediction queries from the current serving generation: a
-// loaded campaign dataset plus the models, profiles and batchers derived
-// from it. Reload swaps generations atomically; see generation.go.
+// loaded campaign dataset plus the models and profiles derived from it.
+// Reload swaps generations atomically; see generation.go.
 type Server struct {
 	workers int
 	// optSize/optSeed are the startup profiling settings, used for
@@ -173,7 +175,7 @@ func New(ds *core.Dataset, opts Options) *Server {
 	return s
 }
 
-// Close stops the server: batcher dispatchers exit, blocked requests
+// Close stops the server: requests waiting on another request's cold fill
 // return errClosed, in-flight engine dispatch is canceled, and new
 // requests fail fast before paying for profiling or training (an
 // already-running model fit completes, as an in-flight HTTP request
@@ -182,15 +184,9 @@ func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.cancel()
 		close(s.stop)
-		// Stop the ingest consumer before the batchers so an in-flight
-		// retrain's engine dispatch sees the cancellation promptly.
 		if s.ingest != nil {
 			s.ingest.Close()
 		}
-		// Stop the current generation's batchers. Retired generations
-		// already stopped theirs; a reload racing with this close re-checks
-		// closedErr after its swap and stops the new generation itself.
-		s.gen.Load().closeStop()
 	})
 	return nil
 }
@@ -463,9 +459,11 @@ func (p *predicted) pred(r *resolved, t core.Target) core.Prediction {
 	return core.Prediction{}
 }
 
-// predictOne answers one resolved query through generation g's
-// micro-batchers. Only the requested targets' models are resolved — a
-// PUE-only query never trains or waits for a WER model.
+// predictOne answers one resolved query on generation g. Only the
+// requested targets' models are resolved — a PUE-only query never trains
+// or waits for a WER model. Every model resolves before any prediction
+// runs; then every target predicts, so each one's accounting is recorded
+// even when another target fails.
 func (s *Server) predictOne(g *generation, r *resolved) (*predicted, *apiError) {
 	start := time.Now()
 	p := predictedPool.Get().(*predicted)
@@ -480,38 +478,24 @@ func (s *Server) predictOne(g *generation, r *resolved) (*predicted, *apiError) 
 		}
 		p.mvs[i] = mv
 	}
-	// The targets are independent: submit every batcher at once so a query
-	// pays one dispatch cycle, not one per target, and a wave of requests
-	// lands in all batchers in the same flush. The first target runs on
-	// this goroutine — the common single-target query spawns nothing.
-	run := func(i int, t core.Target) {
+	for i, t := range r.targets {
 		predStart := time.Now()
-		ps, err := p.mvs[i].batch.do([]core.Query{{
+		pr, err := p.mvs[i].pred.Predict(core.Query{
 			Target: t, Features: r.feats, TREFP: r.trefp, VDD: r.vdd,
 			TempC: r.tempC, Rank: core.RankDevice, CE: r.ce,
-		}})
+		})
 		if err != nil {
 			p.stats[i].errors.inc()
 			p.errs[i] = err
-			return
+			continue
 		}
 		// Per-model serving accounting: one answered query per target,
-		// with the micro-batched predict round trip it paid
-		// (/v2/stats; the load generator cross-checks these).
+		// with the predict call it paid (/v2/stats; the load generator
+		// cross-checks these).
 		p.stats[i].queries.inc()
 		p.stats[i].latency.observe(time.Since(predStart))
-		p.preds[i] = ps[0]
+		p.preds[i] = pr
 	}
-	var wg sync.WaitGroup
-	for i := 1; i < len(r.targets); i++ {
-		wg.Add(1)
-		go func(i int, t core.Target) {
-			defer wg.Done()
-			run(i, t)
-		}(i, r.targets[i])
-	}
-	run(0, r.targets[0])
-	wg.Wait()
 	for _, err := range p.errs {
 		if err != nil {
 			putPredicted(p)
@@ -525,8 +509,7 @@ func (s *Server) predictOne(g *generation, r *resolved) (*predicted, *apiError) 
 // predictMany resolves and answers a batch. Resolution is all-or-nothing
 // (the response always has one result per query) and fans out so a cold
 // batch naming several unprofiled workloads pays for the slowest profile
-// build, not their sum; predictions then run concurrently — their batcher
-// submissions coalesce.
+// build, not their sum; the warm predictions then run in query order.
 func (s *Server) predictMany(g *generation, qs []query) ([]*resolved, []*predicted, *apiError) {
 	if len(qs) == 0 {
 		return nil, nil, errf(http.StatusBadRequest, codeEmptyBatch, "queries", "empty batch")
@@ -557,20 +540,12 @@ func (s *Server) predictMany(g *generation, qs []query) ([]*resolved, []*predict
 		rs[i] = o.r
 	}
 	preds := make([]*predicted, len(rs))
-	errs := make([]*apiError, len(rs))
-	var wg sync.WaitGroup
 	for i, rq := range rs {
-		wg.Add(1)
-		go func(i int, rq *resolved) {
-			defer wg.Done()
-			preds[i], errs[i] = s.predictOne(g, rq)
-		}(i, rq)
-	}
-	wg.Wait()
-	for i, e := range errs {
+		p, e := s.predictOne(g, rq)
 		if e != nil {
 			return nil, nil, e.at(i)
 		}
+		preds[i] = p
 	}
 	return rs, preds, nil
 }
@@ -652,15 +627,13 @@ func (s *Server) handlePredictV1(w http.ResponseWriter, r *http.Request) {
 	}
 	defer func() { s.metrics.predictSeconds.observe(time.Since(start)) }()
 
-	// Pin the serving generation for the whole request: a reload swapping
-	// in a new dataset mid-request must not mix state, and this reference
-	// keeps the generation's batchers alive until we release it.
+	// One generation serves the whole request: a reload swapping in a new
+	// dataset mid-request must not mix state.
 	g, err := s.acquire()
 	if err != nil {
 		writeErrorV1(w, servingErr(err))
 		return
 	}
-	defer g.release()
 
 	if body.Queries != nil {
 		qs := make([]query, len(body.Queries))

@@ -25,9 +25,9 @@ type ModelStatsV2 struct {
 	// Errors the failed model resolutions and predictions.
 	Queries int64 `json:"queries"`
 	Errors  int64 `json:"errors"`
-	// Latency of this model's micro-batched predict round trips, in
-	// fractional milliseconds. Percentiles are conservative upper-bound
-	// estimates from the fixed metric buckets.
+	// Latency of this model's predict calls, in fractional milliseconds.
+	// Percentiles are conservative upper-bound estimates from the fixed
+	// metric buckets.
 	LatencyMSSum  float64 `json:"latency_ms_sum"`
 	LatencyMSMean float64 `json:"latency_ms_mean"`
 	LatencyMSP50  float64 `json:"latency_ms_p50"`

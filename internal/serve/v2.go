@@ -155,7 +155,6 @@ func (s *Server) handlePredictV2(w http.ResponseWriter, r *http.Request) {
 		writeErrorV2(w, servingErr(err))
 		return
 	}
-	defer g.release()
 
 	if body.Queries != nil {
 		qs := make([]query, len(body.Queries))
